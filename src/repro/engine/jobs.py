@@ -35,14 +35,17 @@ from __future__ import annotations
 import inspect
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from ..core.graph import set_add_log_factor
+from ..core.kernel import set_kernel, set_warm
 from ..core.problem import SchedulingProblem
 from ..scheduling.base import SchedulerOptions
-from .hashing import problem_key
+from ..scheduling.preparation import PreparedProblem, prepare
+from .hashing import problem_base_key, problem_key
 
 __all__ = ["SolveJob", "JobResult", "derive_seed", "register_kind",
-           "run_job", "run_chunk", "solve_problems"]
+           "prepare_batch", "run_job", "run_chunk", "solve_problems"]
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -59,6 +62,8 @@ class SolveJob:
     kind: str = "sweep_point"
     options: "SchedulerOptions | None" = None
     tags: "Mapping[str, Any]" = field(default_factory=dict)
+    prepared: "PreparedProblem | None" = field(
+        default=None, compare=False, repr=False)
 
     def key(self) -> str:
         """Canonical cache key for this job's complete input."""
@@ -134,12 +139,13 @@ def _solve_sweep_point(job: SolveJob, store=None) -> "tuple[Any, dict]":
     # the validity-rectangle store is sound for them.
     use_store = store is not None and not problem.has_operating_points
     if use_store:
-        base_key = store.ensure_primed(problem, options, kind=job.kind)
+        base_key = store.ensure_primed(problem, options, kind=job.kind,
+                                       prepared=job.prepared)
         entry = store.probe(base_key, problem.p_max, problem.p_min)
         if entry is not None:
             return _serve_stored_point(problem, entry)
     try:
-        result = PowerAwareScheduler(options).solve(problem)
+        result = PowerAwareScheduler(options).solve(problem, job.prepared)
     except SchedulingFailure:
         stats = {"reuse": {"hit": False}} if store is not None else {}
         return (SweepPoint(p_max=problem.p_max, p_min=problem.p_min,
@@ -147,8 +153,7 @@ def _solve_sweep_point(job: SolveJob, store=None) -> "tuple[Any, dict]":
     stats = result.stats.as_dict()
     if use_store:
         store.record_result(base_key, problem, result)
-        stats["reuse"] = {"hit": False}
-    elif store is not None:
+    if store is not None:
         stats["reuse"] = {"hit": False}
     point = SweepPoint(
         p_max=problem.p_max, p_min=problem.p_min, feasible=True,
@@ -187,6 +192,40 @@ def _serve_stored_point(problem: SchedulingProblem, entry) \
 
 
 register_kind("sweep_point", _solve_sweep_point)
+
+
+def prepare_batch(entries: "Sequence[tuple[int, str, SolveJob]]",
+                  store=None, share: bool = True) \
+        -> "list[tuple[int, str, SolveJob]]":
+    """Share one preparation among the batch jobs that need it.
+
+    ``sweep_point`` jobs are grouped by content hash
+    (``problem_base_key``); a group of two or more (when ``share``: the
+    backend hands workers the job objects), or one ``store`` has yet to
+    prime, is prepared once into each job's ``prepared``; then ``store``
+    is primed.  DVFS jobs, whose graph depends on ``P_max``, never are.
+    """
+    groups: "dict[str, list[int]]" = {}
+    for index, (_position, _key, job) in enumerate(entries):
+        if job.kind == "sweep_point" \
+                and not job.problem.has_operating_points:
+            groups.setdefault(problem_base_key(
+                job.problem, job.options, kind=job.kind), []).append(index)
+    out = list(entries)
+    for base, members in groups.items():
+        if (share and len(members) > 1) \
+                or (store is not None and not store.is_primed(base)):
+            first = out[members[0]][2]
+            shared = prepare(first.problem, first.options).compact()
+            for index in members:
+                position, key, job = out[index]
+                out[index] = (position, key, replace(job, prepared=shared))
+    if store is not None:
+        # Prime here, in the parent: worker snapshots then carry it.
+        for _position, _key, job in out:
+            store.ensure_primed(job.problem, job.options, kind=job.kind,
+                                prepared=job.prepared)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -240,18 +279,10 @@ def run_job(job: SolveJob, position: int = 0, key: "str | None" = None,
     use_store = store is not None and job.kind in _STORE_AWARE
     last_error = ""
     capture_ctx = None
-    restore_factor: "int | None" = None
-    if lp_log_factor is not None:
-        from ..core.graph import set_add_log_factor
-        restore_factor = set_add_log_factor(lp_log_factor)
-    restore_kernel: "str | None" = None
-    restore_warm: "bool | None" = None
-    if core_kernel is not None:
-        from ..core.kernel import set_kernel
-        restore_kernel = set_kernel(core_kernel)
-    if warm_start is not None:
-        from ..core.kernel import set_warm
-        restore_warm = set_warm(warm_start)
+    # (setter, previous value) of each knob applied for this job.
+    restore = [(setter, setter(value)) for setter, value in (
+        (set_add_log_factor, lp_log_factor), (set_kernel, core_kernel),
+        (set_warm, warm_start)) if value is not None]
     if instrument:
         from ..obs import capture
         capture_ctx = capture()
@@ -261,10 +292,7 @@ def run_job(job: SolveJob, position: int = 0, key: "str | None" = None,
     try:
         for attempt in range(1, max(1, retries + 1) + 1):
             try:
-                if use_store:
-                    value, stats = fn(job, store)
-                else:
-                    value, stats = fn(job)
+                value, stats = fn(job, store) if use_store else fn(job)
             except Exception as exc:  # noqa: BLE001 - reported, not raised
                 last_error = f"{type(exc).__name__}: {exc}"
                 continue
@@ -281,15 +309,8 @@ def run_job(job: SolveJob, position: int = 0, key: "str | None" = None,
     finally:
         if capture_ctx is not None:
             capture_ctx.__exit__(None, None, None)
-        if restore_factor is not None:
-            from ..core.graph import set_add_log_factor
-            set_add_log_factor(restore_factor)
-        if restore_kernel is not None:
-            from ..core.kernel import set_kernel
-            set_kernel(restore_kernel)
-        if restore_warm is not None:
-            from ..core.kernel import set_warm
-            set_warm(restore_warm)
+        for setter, previous in restore:
+            setter(previous)
     if capture_ctx is not None:
         result.stats = dict(result.stats)
         result.stats["obs"] = {

@@ -38,7 +38,7 @@ from ..obs import (LOG, OBS, MetricsRegistry, Span, absorb_cache_stats,
 from .backends.base import SNAPSHOT_MODES, ExecutionBackend
 from .backends.local import LocalBackend
 from .cache import ResultCache
-from .jobs import JobResult, SolveJob
+from .jobs import JobResult, SolveJob, prepare_batch
 from .schedule_store import REUSE_POLICIES, ScheduleStore
 from .trace import JobTrace, RunTrace
 
@@ -263,15 +263,10 @@ class BatchRunner:
                 continue
             primaries[key] = (position, job)
 
-        entries = [(position, key, job)
-                   for key, (position, job) in primaries.items()]
-        if self.store is not None:
-            # Prime the certified timing-stage entries in the parent so
-            # every worker snapshot already carries them; idempotent per
-            # base key, so serial jobs find the work done too.
-            for _position, _key, job in entries:
-                self.store.ensure_primed(job.problem, job.options,
-                                         kind=job.kind)
+        entries = prepare_batch(
+            [(position, key, job)
+             for key, (position, job) in primaries.items()], self.store,
+            share=isinstance(self.backend, LocalBackend))
         context = self.trace_context or current_trace_context()
         trace_id, parent_span_id = context if context is not None \
             else (new_trace_id(), None)

@@ -65,6 +65,7 @@ from ..core.problem import SchedulingProblem
 from ..core.profile import PowerProfile
 from ..core.schedule import Schedule
 from ..errors import SerializationError
+from ..scheduling.preparation import PreparedProblem, prepare
 from ..scheduling.runtime import in_validity_range
 from .hashing import problem_base_key
 
@@ -215,6 +216,10 @@ class ScheduleStore:
         """The store's index key for a job's workload."""
         return problem_base_key(problem, options, kind=kind)
 
+    def is_primed(self, base_key: str) -> bool:
+        """Has :meth:`ensure_primed` already run for this base key?"""
+        return base_key in self._primed
+
     def probe(self, base_key: str, p_max: float, p_min: float) \
             -> "StoredSchedule | None":
         """Best stored schedule covering ``(p_max, p_min)``, or None.
@@ -281,7 +286,8 @@ class ScheduleStore:
     # ------------------------------------------------------------------
 
     def ensure_primed(self, problem: SchedulingProblem, options=None,
-                      kind: str = "sweep_point") -> str:
+                      kind: str = "sweep_point",
+                      prepared: "PreparedProblem | None" = None) -> str:
         """Compute and store the certified timing entry once per base.
 
         The timing scheduler ignores the power constraints, so one
@@ -292,13 +298,17 @@ class ScheduleStore:
         finishes *strictly earlier* than ``sigma_t`` (a different
         serialization of a timing-heuristic-hostile instance), in which
         case a fresh solve inside the rectangle would return the serial
-        schedule instead.  The guard solves the serial candidate once
-        and skips certification when it wins; ties are safe because the
-        pipeline keeps its first candidate (``sigma_t``) on ties.
+        schedule instead.  Certification is skipped when the serial
+        schedule wins; ties are safe because the pipeline keeps its
+        first candidate (``sigma_t``) on ties.  Both schedules come from
+        ``prepared`` — the :func:`~repro.scheduling.preparation.prepare`
+        result the batch's solves start from, computed here when not
+        given — so the guard sees the serial outcome the max-power stage
+        sees, under the same backtrack budget.
 
         Returns the base key.  Idempotent per base key, and the primed
-        set ships with worker snapshots, so the priming cost is one
-        timing + one bounded serial solve per distinct workload.
+        set ships with worker snapshots, so the priming cost is at most
+        one preparation per distinct workload.
 
         DVFS exemption (DESIGN.md section 5f): problems carrying
         operating-point ladders are never certified.  The pipeline
@@ -313,37 +323,23 @@ class ScheduleStore:
         base_key = self.base_key(problem, options, kind=kind)
         if base_key in self._primed:
             return base_key
-        if problem.has_operating_points:
-            self._primed.add(base_key)
-            return base_key
         self._primed.add(base_key)
+        if problem.has_operating_points:
+            return base_key
         self.primes += 1
-        import dataclasses
-
-        from ..errors import SchedulingFailure
-        from ..scheduling.base import SchedulerOptions
-        from ..scheduling.serial import SerialScheduler
-        from ..scheduling.timing import TimingScheduler
-        opts = options or SchedulerOptions()
-        try:
-            timing = TimingScheduler(opts).solve(problem)
-        except SchedulingFailure:
+        if prepared is None:
+            prepared = prepare(problem, options)
+        if prepared.timing_failure is not None:
             # Timing infeasibility is power-independent: no environment
             # can be served, so there is nothing to certify.
             return base_key
-        serial_tau = None
-        try:
-            serial_opts = dataclasses.replace(opts, max_backtracks=200)
-            serial = SerialScheduler(serial_opts).solve(problem)
-            serial_tau = serial.schedule.makespan
-        except SchedulingFailure:
-            pass
-        if serial_tau is not None \
-                and serial_tau < timing.schedule.makespan:
+        serial = prepared.serial_schedule
+        if serial is not None \
+                and serial.makespan < prepared.schedule.makespan:
             return base_key
         entry = StoredSchedule.from_schedule(
             f"timing@{problem.name or 'problem'}", CERTIFIED_STAGE,
-            timing.schedule, baseline=problem.baseline)
+            prepared.schedule, baseline=problem.baseline)
         self.insert(base_key, entry, problem_name=problem.name)
         return base_key
 

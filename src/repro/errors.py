@@ -11,6 +11,7 @@ provably-complete timing scheduling and heuristic power scheduling.
 from __future__ import annotations
 
 __all__ = [
+    "BudgetExhausted",
     "GraphError",
     "InfeasibleError",
     "PositiveCycleError",
@@ -56,6 +57,10 @@ class SchedulingFailure(ReproError):
     (Section 5.2 of the paper) and "may not find a valid schedule even
     though one exists".
     """
+
+
+class BudgetExhausted(SchedulingFailure):
+    """A search gave up at its backtrack budget (proved nothing)."""
 
 
 class ValidationError(ReproError):

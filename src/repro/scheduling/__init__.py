@@ -19,6 +19,7 @@ from .max_power import MaxPowerScheduler, max_power_schedule
 from .min_power import GapFillConfig, MinPowerScheduler, min_power_schedule
 from .optimal import OptimalScheduler, optimal_schedule
 from .power_aware import PipelineResult, PowerAwareScheduler, schedule
+from .preparation import prepare
 from .runtime import (RuntimeScheduler, ScheduleEntry, ScheduleTable,
                       in_validity_range)
 from .serial import SerialScheduler, serial_schedule
@@ -57,6 +58,7 @@ __all__ = [
     "optimal_schedule",
     "preset",
     "preset_names",
+    "prepare",
     "schedule",
     "serial_schedule",
     "timing_schedule",

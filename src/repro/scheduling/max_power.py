@@ -52,7 +52,8 @@ from ..errors import SchedulingFailure
 from ..obs import OBS
 from .base import ScheduleResult, SchedulerOptions, SchedulerStats, \
     make_result
-from .timing import TimingScheduler, asap_schedule
+from .preparation import PreparedProblem, prepare
+from .timing import asap_schedule
 
 __all__ = ["MaxPowerScheduler", "max_power_schedule"]
 
@@ -68,25 +69,26 @@ class MaxPowerScheduler:
 
     # ------------------------------------------------------------------
 
-    def solve(self, problem: SchedulingProblem) -> ScheduleResult:
+    def solve(self, problem: SchedulingProblem,
+              prepared: "PreparedProblem | None" = None) -> ScheduleResult:
         """Produce a *valid* (time- and power-valid) schedule.
 
-        Runs the timing scheduler first (as the paper's algorithm
-        does), then removes spikes; with ``max_power_restarts > 1`` the
-        repair is retried under perturbed tie-breaking and the best
-        (finish time, energy cost) schedule is kept.  The returned
-        result has ``stage="max_power"`` and carries the decorated
-        graph in ``extra["graph"]``.
+        Starts from the timing serialization of ``prepared`` (prepared
+        here when None), then removes spikes; with ``max_power_restarts
+        > 1`` the repair is retried under perturbed tie-breaking and the
+        best (finish time, energy cost) schedule is kept.  The result
+        has ``stage="max_power"`` and the decorated graph in
+        ``extra["graph"]``.
         """
         reasons = problem.feasible_power_check()
         if reasons:
             raise SchedulingFailure(
                 "problem is power-infeasible: " + "; ".join(reasons))
-        base_graph = problem.fresh_graph()
-        timing = TimingScheduler(self.options)
-        timing.schedule_graph(base_graph)  # adds serialization edges
+        if prepared is None:
+            prepared = prepare(problem, self.options)
+        base_graph = prepared.timing_graph()
         self.stats = SchedulerStats()
-        self.stats.merge(timing.stats)
+        self.stats.merge(prepared.timing_stats)
 
         best: "tuple[tuple[float, float], Schedule, ConstraintGraph] | None" \
             = None
@@ -123,7 +125,9 @@ class MaxPowerScheduler:
                     break
 
         if self.options.serial_fallback:
-            serial = self._serial_candidate(problem)
+            # The serial JPL schedule competes when power-valid: under
+            # tight budgets (the rover's worst case) it beats the repair.
+            serial = prepared.serial_candidate(problem.p_max)
             if serial is not None:
                 consider(*serial)
 
@@ -138,34 +142,6 @@ class MaxPowerScheduler:
                              stage="max_power")
         result.extra["graph"] = graph
         return result
-
-    def _serial_candidate(self, problem: SchedulingProblem) \
-            -> "tuple[Schedule, ConstraintGraph] | None":
-        """The fully-serialized schedule as an extra candidate.
-
-        In tightly power-bounded regimes (the rover's worst case) the
-        best valid schedule *is* the serial one — the paper observes
-        that its worst-case power-aware schedule coincides with JPL's
-        serial schedule.  Greedy spike repair can strand idle time that
-        the serial packing avoids, so the serial schedule competes in
-        the candidate pool whenever it is power-valid.
-        """
-        from .serial import SerialScheduler  # local: avoid import cycle
-        import dataclasses
-        # The fallback is opportunistic: give it a small backtrack
-        # budget so a serialization-hostile instance (max windows that
-        # forbid a full serial order) fails fast instead of burning the
-        # caller's time.
-        options = dataclasses.replace(self.options, max_backtracks=200)
-        try:
-            result = SerialScheduler(options).solve(problem)
-        except SchedulingFailure:
-            return None
-        profile = PowerProfile.from_schedule(
-            result.schedule, baseline=problem.total_baseline)
-        if not profile.is_power_valid(problem.p_max):
-            return None
-        return result.schedule, result.extra["graph"]
 
     # ------------------------------------------------------------------
 

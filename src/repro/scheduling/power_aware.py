@@ -18,7 +18,7 @@ from ..obs import OBS
 from .base import ScheduleResult, SchedulerOptions
 from .max_power import MaxPowerScheduler
 from .min_power import MinPowerScheduler
-from .timing import TimingScheduler
+from .preparation import PreparedProblem, prepared_for
 
 __all__ = ["PowerAwareScheduler", "PipelineResult", "schedule"]
 
@@ -39,25 +39,15 @@ def _timed_stage(label: str, run) -> ScheduleResult:
         result: ScheduleResult = run()
         elapsed = time.perf_counter() - t0
         delta = lp_counters_delta(snapshot)
-        stage_span.set(lp_cache_hits=delta["cache_hits"],
-                       lp_incremental_runs=delta["incremental_runs"],
-                       lp_full_runs=delta["full_runs"],
-                       lp_log_evictions=delta["log_evictions"],
-                       lp_kernel_runs=delta["kernel_runs"],
-                       lp_state_restores=delta["state_restores"],
-                       lp_warm_hits=delta["warm_hits"],
-                       lp_probe_prunes=delta["probe_prunes"])
+        stage_span.set(**{f"lp_{key}": value
+                          for key, value in delta.items()})
     stats = result.stats
     stats.stage_seconds[label] = \
         stats.stage_seconds.get(label, 0.0) + elapsed
-    stats.lp_cache_hits += delta["cache_hits"]
-    stats.lp_incremental_runs += delta["incremental_runs"]
-    stats.lp_full_runs += delta["full_runs"]
-    stats.lp_cache_log_evictions += delta["log_evictions"]
-    stats.lp_kernel_runs += delta["kernel_runs"]
-    stats.lp_state_restores += delta["state_restores"]
-    stats.lp_warm_hits += delta["warm_hits"]
-    stats.lp_probe_prunes += delta["probe_prunes"]
+    for key, value in delta.items():
+        name = "lp_cache_log_evictions" if key == "log_evictions" \
+            else f"lp_{key}"
+        setattr(stats, name, getattr(stats, name) + value)
     return result
 
 
@@ -100,11 +90,14 @@ class PowerAwareScheduler:
     def __init__(self, options: "SchedulerOptions | None" = None):
         self.options = options or SchedulerOptions()
 
-    def solve(self, problem: SchedulingProblem) -> ScheduleResult:
+    def solve(self, problem: SchedulingProblem,
+              prepared: "PreparedProblem | None" = None) -> ScheduleResult:
         """Solve and return only the final result."""
-        return self.solve_pipeline(problem).final
+        return self.solve_pipeline(problem, prepared).final
 
-    def solve_pipeline(self, problem: SchedulingProblem) -> PipelineResult:
+    def solve_pipeline(self, problem: SchedulingProblem,
+                       prepared: "PreparedProblem | None" = None) \
+            -> PipelineResult:
         """Solve and return all three stage results.
 
         The timing stage ignores power constraints entirely (its result
@@ -117,28 +110,35 @@ class PowerAwareScheduler:
         which chooses a deadline-safe minimum-energy configuration and
         then runs this same three-stage pipeline on the materialized
         (speed-fixed) problem — so every caller of the pipeline gets
-        the DVFS axis for free.
+        the DVFS axis for free.  ``prepared`` (never for DVFS) supplies
+        the budget-independent searches; else the timing stage runs them.
         """
         if problem.has_operating_points:
+            if prepared is not None:
+                raise ValueError("a DVFS problem takes no prepared problem")
             from .freq_select import FreqSelectScheduler
             return FreqSelectScheduler(
                 self.options).solve_pipeline(problem)
+
+        def fig2() -> ScheduleResult:
+            nonlocal prepared
+            prepared = prepared_for(problem, self.options, prepared)
+            return prepared.timing_result(problem)
+
         with OBS.span("sched.pipeline", problem=problem.name):
-            timing = _timed_stage(
-                "timing",
-                lambda: TimingScheduler(self.options).solve(problem))
+            timing = _timed_stage("timing", fig2)
             max_power = _timed_stage(
                 "max_power",
-                lambda: MaxPowerScheduler(self.options).solve(problem))
+                lambda: MaxPowerScheduler(self.options).solve(
+                    problem, prepared))
             min_power = _timed_stage(
                 "min_power",
                 lambda: MinPowerScheduler(self.options).improve(
                     problem, max_power))
         min_power.stats.merge(max_power.stats)
         # The final result should expose all three stage timings; the
-        # standalone Fig.-2 timing run is not merged (its algorithmic
-        # counters would double-count the timing work MaxPowerScheduler
-        # repeats internally), so copy just its wall clock.
+        # Fig.-2 stats are not merged (the max-power stats already
+        # carry the timing search's counters), so copy just its clock.
         min_power.stats.stage_seconds.setdefault(
             "timing", timing.stats.stage_seconds.get("timing", 0.0))
         return PipelineResult(timing=timing, max_power=max_power,

@@ -20,7 +20,7 @@ from ..core.graph import ConstraintGraph
 from ..core.longest_path import longest_paths
 from ..core.problem import SchedulingProblem
 from ..core.task import ANCHOR_NAME
-from ..errors import SchedulingFailure
+from ..errors import BudgetExhausted, SchedulingFailure
 from .base import ScheduleResult, SchedulerOptions, SchedulerStats, \
     make_result
 from .timing import asap_schedule
@@ -39,14 +39,19 @@ class SerialScheduler:
         """Find a fully-serial, time-valid schedule.
 
         Raises :class:`SchedulingFailure` if no serial order satisfies
-        the min/max separations (a max separation can make full
-        serialization impossible even when a parallel schedule exists).
+        the min/max separations (a max separation can forbid full
+        serialization even when a parallel schedule exists), or
+        :class:`BudgetExhausted` if ``max_backtracks`` ran out first.
         """
         self.stats = SchedulerStats()
         self._budget = self.options.max_backtracks
         graph = problem.fresh_graph()
         chain: "list[str]" = []
         if not self._extend(graph, chain):
+            if self._budget <= 0:
+                raise BudgetExhausted(
+                    f"serial scheduler gave up on {problem.name!r} after "
+                    f"{self.options.max_backtracks} backtracks")
             raise SchedulingFailure(
                 f"no fully-serial schedule exists for {problem.name!r}")
         schedule = asap_schedule(graph)

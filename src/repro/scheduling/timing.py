@@ -33,7 +33,7 @@ from ..core.longest_path import longest_paths
 from ..core.problem import SchedulingProblem
 from ..core.schedule import Schedule
 from ..core.task import ANCHOR_NAME
-from ..errors import SchedulingFailure
+from ..errors import BudgetExhausted, SchedulingFailure
 from ..obs import OBS
 from .base import ScheduleResult, SchedulerOptions, SchedulerStats, \
     make_result
@@ -102,12 +102,13 @@ class TimingScheduler:
                             serializations=self.stats.serializations,
                             placed=placed)
         if not placed:
+            if self._budget <= 0:
+                raise BudgetExhausted(
+                    f"timing scheduler gave up on {graph.name!r} after "
+                    f"{self.options.max_backtracks} backtracks")
             raise SchedulingFailure(
                 "no time-valid schedule exists for "
-                f"{graph.name!r} (exhausted every topological order)"
-                if self._budget > 0 else
-                f"timing scheduler gave up on {graph.name!r} after "
-                f"{self.options.max_backtracks} backtracks")
+                f"{graph.name!r} (exhausted every topological order)")
         self.stats.longest_path_runs += 1
         return asap_schedule(graph)
 

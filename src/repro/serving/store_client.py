@@ -169,7 +169,7 @@ class RemoteScheduleStore(ScheduleStore):
         return super().probe(base_key, p_max, p_min)
 
     def ensure_primed(self, problem, options=None,
-                      kind: str = "sweep_point") -> str:
+                      kind: str = "sweep_point", prepared=None) -> str:
         base_key = self.base_key(problem, options, kind=kind)
         if base_key in self._primed:
             return base_key
@@ -177,7 +177,7 @@ class RemoteScheduleStore(ScheduleStore):
             # Absorbed the certified entry; _absorb marked us primed.
             self.primes += 1
             return base_key
-        result = super().ensure_primed(problem, options, kind=kind)
+        result = super().ensure_primed(problem, options, kind, prepared)
         # Push the fresh timing entry right away (not just at the next
         # batch sync) so sibling instances skip the priming solve.
         self.sync()
