@@ -116,6 +116,9 @@ class ConstraintGraph:
     def __init__(self, name: str = "problem"):
         self.name = name
         self._tasks: "dict[str, Task]" = {}
+        # non-anchor tasks in insertion order, rebuilt lazily after
+        # add_task / set_duration (see task_tuple)
+        self._task_tuple: "tuple[Task, ...] | None" = None
         self._resources = ResourcePool()
         # (src, dst) -> (weight, tag)
         self._edges: "dict[tuple[str, str], tuple[int, str]]" = {}
@@ -158,6 +161,11 @@ class ConstraintGraph:
         if task.name in self._tasks:
             raise GraphError(f"duplicate task {task.name!r}")
         self._tasks[task.name] = task
+        self._task_tuple = None
+        # add_task leaves _version alone (the edge set is unchanged), so
+        # the version-keyed arrays view must be dropped here or it would
+        # keep serving the old vertex set.
+        self._arrays_cache = None
         self._out.setdefault(task.name, set())
         self._in.setdefault(task.name, set())
         if task.resource is not None:
@@ -204,6 +212,7 @@ class ConstraintGraph:
             return task
         replaced = _dc_replace(task, duration=duration)
         self._tasks[name] = replaced
+        self._task_tuple = None
         self._version += 1
         self._arrays_cache = None
         self._triples_cache = None
@@ -217,14 +226,29 @@ class ConstraintGraph:
         """The virtual time-0 source vertex."""
         return self._tasks[ANCHOR_NAME]
 
+    def task_tuple(self) -> "tuple[Task, ...]":
+        """The non-anchor tasks in insertion order, as a shared tuple.
+
+        Cached until the next ``add_task`` or ``set_duration``, so the
+        per-move schedule builders iterate it without allocating.
+        """
+        tasks = self._task_tuple
+        if tasks is None:
+            tasks = self._task_tuple = tuple(
+                t for t in self._tasks.values() if not t.is_anchor)
+        return tasks
+
     def tasks(self, include_anchor: bool = False) -> "list[Task]":
         """All task vertices, in insertion order."""
-        return [t for t in self._tasks.values()
-                if include_anchor or not t.is_anchor]
+        if include_anchor:
+            return list(self._tasks.values())
+        return list(self.task_tuple())
 
     def task_names(self, include_anchor: bool = False) -> "list[str]":
         """All vertex names, in insertion order."""
-        return [t.name for t in self.tasks(include_anchor=include_anchor)]
+        if include_anchor:
+            return list(self._tasks)
+        return [t.name for t in self.task_tuple()]
 
     def __len__(self) -> int:
         """Number of real (non-anchor) tasks."""
@@ -547,7 +571,7 @@ class ConstraintGraph:
         """Deep-enough copy: fresh edge store and journal, shared tasks
         (tasks are frozen dataclasses so sharing is safe)."""
         clone = ConstraintGraph(name=name or self.name)
-        for task in self.tasks():
+        for task in self.task_tuple():
             clone.add_task(task)
         for res in self._resources:
             if res.name not in clone._resources:
@@ -555,9 +579,24 @@ class ConstraintGraph:
             else:
                 # replace the auto-created default with the real record
                 clone._resources._by_name[res.name] = res
-        for (src, dst), (weight, tag) in self._edges.items():
-            clone.add_edge(src, dst, weight, tag=tag)
-        clone._journal.clear()
+        # Write the edge store directly, in source order, leaving the
+        # state an add_edge replay would: one version bump and one
+        # add-log entry per edge, trimmed by the same rule, and the
+        # adjacency sets filled in the same order.  No journal.
+        edges, out, inn, log = clone._edges, clone._out, clone._in, \
+            clone._add_log
+        bound = _add_log_factor * (len(clone._tasks) + 8)
+        version = 0
+        for key, entry in self._edges.items():
+            src, dst = key
+            edges[key] = entry
+            out[src].add(dst)
+            inn[dst].add(src)
+            version += 1
+            log.append((version, src, dst, entry[0]))
+            if len(log) > bound:
+                del log[:len(log) // 2]
+        clone._version = version
         from . import kernel as _kernel
         if _kernel.warm_enabled():
             # Warm-origin tag: the clone remembers which graph (and
@@ -623,12 +662,14 @@ class ConstraintGraph:
         """
         state = self.__dict__.copy()
         state["_arrays_cache"] = None
+        state["_task_tuple"] = None
         state["_state_cache"] = {}
         state["_warm_src"] = None
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
+        self._task_tuple = None
         # Fresh identity in the receiving process: two unpickled copies
         # of the same parent could otherwise mutate apart while sharing
         # a uid, poisoning the warm pool with colliding keys.

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable
 
 from ..errors import ValidationError
 from . import kernel as _kernel
@@ -107,6 +107,10 @@ class PowerProfile:
         ``horizon`` extends (or exactly covers) the profile domain; by
         default it is the schedule's finish time ``tau_sigma``.  Resource
         idle power declared on the graph is added to the baseline.
+
+        The profile is memoized on the schedule (per graph version) by
+        its baseline and horizon, so repeated reads share one object;
+        profiles are immutable.
         """
         baseline = baseline + schedule.graph.resources.total_idle_power
         tau = schedule.makespan
@@ -114,36 +118,60 @@ class PowerProfile:
         if horizon < tau:
             raise ValidationError(
                 f"horizon {horizon} is before the schedule finish {tau}")
+        # The baseline's type is part of the key: an int baseline
+        # leaves an idle segment's power an int, a float one a float.
+        key = (type(baseline), baseline, horizon)
+        memo = schedule._derived().profiles
+        profile = memo.get(key)
+        if profile is None:
+            profile = memo[key] = PowerProfile._sweep(
+                schedule._spans(), baseline, horizon)
+        return profile
+
+    @staticmethod
+    def _sweep(spans: "list[tuple[int, int, Any]]", baseline: float,
+               horizon: int) -> "PowerProfile":
+        """One pass over ``(start, end, task)`` spans into a per-time
+        power delta map, then one pass over the sorted breakpoints.
+
+        Deltas are summed per time in span order, start before end
+        within a span, and the running level adds them in time order,
+        so every segment power is bit-identical to summing the events
+        one by one.  Equal-power neighbours merge as in ``__init__``.
+        """
         if horizon == 0:
-            return PowerProfile([], baseline=baseline)
-
-        # Sweep: breakpoints at every task start/finish.
-        points = {0, horizon}
-        events: "list[tuple[int, float]]" = []
-        for name, start in schedule.items():
-            task = schedule.graph.task(name)
-            if task.duration == 0 or task.power == 0:
-                continue
-            end = start + task.duration
-            points.add(start)
-            points.add(min(end, horizon))
-            events.append((start, task.power))
-            events.append((end, -task.power))
-        breaks = sorted(p for p in points if 0 <= p <= horizon)
+            return PowerProfile._trusted([], baseline)
         deltas: "dict[int, float]" = {}
-        for t, dp in events:
-            deltas[t] = deltas.get(t, 0.0) + dp
-
+        for start, end, task in spans:
+            power = task.power
+            if start == end or power == 0:
+                continue
+            deltas[start] = deltas.get(start, 0.0) + power
+            deltas[end] = deltas.get(end, 0.0) - power
+        breaks = sorted(deltas.keys() | {0, horizon})
+        tol = PowerProfile.POWER_TOL
         segments: "list[tuple[int, int, float]]" = []
         level = baseline
-        pending = sorted(deltas)
-        idx = 0
         for b0, b1 in zip(breaks, breaks[1:]):
-            while idx < len(pending) and pending[idx] <= b0:
-                level += deltas[pending[idx]]
-                idx += 1
-            segments.append((b0, b1, max(level, 0.0)))
-        return PowerProfile(segments, baseline=baseline)
+            delta = deltas.get(b0)
+            if delta is not None:
+                level += delta
+            power = max(level, 0.0)
+            if segments and abs(segments[-1][2] - power) <= tol:
+                segments[-1] = (segments[-1][0], b1, segments[-1][2])
+            else:
+                segments.append((b0, b1, power))
+        return PowerProfile._trusted(segments, baseline)
+
+    @classmethod
+    def _trusted(cls, segments: "list[tuple[int, int, float]]",
+                 baseline: float) -> "PowerProfile":
+        """A profile over segments already contiguous, valid and merged."""
+        profile = cls.__new__(cls)
+        profile._segments = segments
+        profile.baseline = baseline
+        profile._starts = [seg[0] for seg in segments]
+        return profile
 
     # ------------------------------------------------------------------
     # basic queries
@@ -158,6 +186,13 @@ class PowerProfile:
     def horizon(self) -> int:
         """End of the profile domain."""
         return self._segments[-1][1] if self._segments else 0
+
+    def segment_end(self, t: int) -> int:
+        """End of the segment containing slot ``t`` — where the power
+        composition next changes; ``t + 1`` outside the domain."""
+        if not self._segments or t < 0 or t >= self.horizon:
+            return t + 1
+        return self._segments[bisect_right(self._starts, t) - 1][1]
 
     def value(self, t: int) -> float:
         """``P(t)`` for ``0 <= t < horizon`` (0 outside)."""

@@ -11,6 +11,14 @@ with the derived quantities the algorithms need:
   Gantt chart),
 * functional updates (``with_start``/``delayed``) used by the power
   schedulers to explore neighbouring schedules.
+
+The derived quantities (task spans, finish time, active sets, slack and
+power profiles) are computed lazily and memoized per schedule.  The
+memo belongs to one graph version: every edge mutation, rollback and
+duration change bumps ``graph._version`` and the next read starts a
+fresh memo.  ``add_task`` does not bump the version, which is sound
+because everything is derived from the schedule's own start map, never
+from the graph's task set.
 """
 
 from __future__ import annotations
@@ -24,18 +32,38 @@ from .task import Task
 __all__ = ["Schedule"]
 
 
+class _Derived:
+    """What a schedule has derived at one graph version."""
+
+    __slots__ = ("version", "spans", "makespan", "active", "slack",
+                 "profiles")
+
+    def __init__(self, version: int):
+        self.version = version
+        #: ``(start, end, task)`` per scheduled task, start-map order.
+        self.spans: "list[tuple[int, int, Task]] | None" = None
+        self.makespan: "int | None" = None
+        #: slot -> tasks active during ``[t, t+1)``
+        self.active: "dict[int, tuple[Task, ...]]" = {}
+        #: task name -> slack (filled by :func:`repro.core.slack.slack`)
+        self.slack: "dict[str, int]" = {}
+        #: ``(baseline type, baseline incl. idle power, horizon)`` ->
+        #: profile (filled by ``PowerProfile.from_schedule``)
+        self.profiles: "dict[tuple, object]" = {}
+
+
 class Schedule:
     """An assignment of start times to the tasks of a graph."""
 
     def __init__(self, graph: ConstraintGraph,
                  starts: "Mapping[str, int]"):
-        missing = [name for name in graph.task_names()
-                   if name not in starts]
+        tasks = graph.task_tuple()
+        missing = [task.name for task in tasks if task.name not in starts]
         if missing:
             raise ValidationError(
                 f"schedule is missing start times for {missing}")
         for name, start in starts.items():
-            if name not in graph and not name.startswith("__"):
+            if name not in graph._tasks and not name.startswith("__"):
                 raise ValidationError(
                     f"schedule mentions unknown task {name!r}")
             if not isinstance(start, int) or start < 0:
@@ -43,8 +71,39 @@ class Schedule:
                     f"start of {name!r} must be a non-negative integer, "
                     f"got {start!r}")
         self._graph = graph
-        self._starts = {name: int(starts[name])
-                        for name in graph.task_names()}
+        self._starts = {task.name: int(starts[task.name])
+                        for task in tasks}
+        self._memo: "_Derived | None" = None
+
+    def _derived(self) -> _Derived:
+        """The memo of derived data for the graph's current version."""
+        memo = self._memo
+        version = self._graph._version
+        if memo is None or memo.version != version:
+            memo = self._memo = _Derived(version)
+        return memo
+
+    def _spans(self) -> "list[tuple[int, int, Task]]":
+        """``(start, end, task)`` of every scheduled task (memoized)."""
+        memo = self._derived()
+        spans = memo.spans
+        if spans is None:
+            tasks = self._graph._tasks
+            spans = memo.spans = []
+            for name, start in self._starts.items():
+                task = tasks[name]
+                spans.append((start, start + task.duration, task))
+        return spans
+
+    def __getstate__(self):
+        """Pickles carry the start map only; the memo is rebuilt."""
+        state = self.__dict__.copy()
+        state.pop("_memo", None)
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._memo = None
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -83,9 +142,11 @@ class Schedule:
     @property
     def makespan(self) -> int:
         """Finish time ``tau_sigma``: when the last task completes."""
-        if not self._starts:
-            return 0
-        return max(self.finish(name) for name in self._starts)
+        memo = self._derived()
+        if memo.makespan is None:
+            memo.makespan = max((end for _, end, _ in self._spans()),
+                                default=0)
+        return memo.makespan
 
     # Alias matching the paper's tau_sigma vocabulary.
     finish_time = makespan
@@ -106,14 +167,24 @@ class Schedule:
         start = self._starts[name]
         return start <= t < start + task.duration
 
+    def _active(self, t: int) -> "tuple[Task, ...]":
+        active = self._derived().active
+        tasks = active.get(t)
+        if tasks is None:
+            # start <= t < end excludes zero-duration tasks, as in
+            # is_active.
+            tasks = active[t] = tuple(
+                task for start, end, task in self._spans()
+                if start <= t < end)
+        return tasks
+
     def active_tasks(self, t: int) -> "list[Task]":
         """All tasks executing during slot ``[t, t+1)``, insertion order."""
-        return [self._graph.task(name) for name in self._starts
-                if self.is_active(name, t)]
+        return list(self._active(t))
 
     def power_at(self, t: int) -> float:
         """Instantaneous task power at slot ``t`` (baseline excluded)."""
-        return sum(task.power for task in self.active_tasks(t))
+        return sum(task.power for task in self._active(t))
 
     def resource_timeline(self, resource: str) -> "list[tuple[int, Task]]":
         """``(start, task)`` pairs on a resource, sorted by start time."""

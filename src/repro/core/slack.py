@@ -41,13 +41,21 @@ def slack(schedule: Schedule, name: str) -> int:
     Raises :class:`ValidationError` if the schedule already violates one
     of the task's outgoing constraints (slack would be negative, which
     only happens for time-invalid schedules).
+
+    Memoized on the schedule for the graph's current version: the
+    schedulers read the slack of the same active tasks several times
+    per move.
     """
+    memo = schedule._derived().slack
+    cached = memo.get(name)
+    if cached is not None:
+        return cached
     graph = schedule.graph
     best = UNBOUNDED_SLACK
-    sigma_v = schedule.start(name)
-    # Hot path: the max-power scheduler recomputes every candidate's
-    # slack after each move.  Read the edge store directly instead of
-    # materializing Edge records per call.
+    starts = schedule._starts
+    sigma_v = starts[name]
+    # Hot path: read the edge store directly instead of materializing
+    # Edge records per call.
     edges = graph._edges
     anchor = graph.anchor.name
     for dst in graph._out.get(name, ()):
@@ -59,8 +67,8 @@ def slack(schedule: Schedule, name: str) -> int:
             # outgoing edge to the anchor encodes a start deadline:
             # sigma(anchor) - sigma(v) >= weight  =>  sigma(v) <= -weight
             room = 0 - sigma_v - weight
-        elif dst in schedule:
-            room = schedule.start(dst) - sigma_v - weight
+        elif dst in starts:
+            room = starts[dst] - sigma_v - weight
         else:
             continue
         if room < 0:
@@ -69,6 +77,7 @@ def slack(schedule: Schedule, name: str) -> int:
                 f"{name!r} -> {dst!r} (weight {weight}); "
                 f"slack would be {room}")
         best = min(best, room)
+    memo[name] = best
     return best
 
 

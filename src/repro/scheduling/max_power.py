@@ -268,7 +268,9 @@ class MaxPowerScheduler:
                 continue
             victim = prefer if prefer in order else order[0]
             prefer = None
-            target = self._segment_end(schedule, baseline, t)
+            # Land just past where the power composition next changes.
+            target = PowerProfile.from_schedule(
+                schedule, baseline=baseline).segment_end(t)
             had_zero_slack = slack(schedule, victim) == 0
             token = graph.checkpoint()
             if not self._delay_past(graph, schedule, victim, t, target):
@@ -308,17 +310,6 @@ class MaxPowerScheduler:
             return False
         return graph.add_edge(ANCHOR_NAME, name, current + distance,
                               tag="delay")
-
-    @staticmethod
-    def _segment_end(schedule: Schedule, baseline: float, t: int) -> int:
-        """End of the profile segment containing ``t`` — the natural
-        landing point for a delayed task (just past the moment where
-        the power composition changes)."""
-        profile = PowerProfile.from_schedule(schedule, baseline=baseline)
-        for t0, t1, _ in profile.segments:
-            if t0 <= t < t1:
-                return t1
-        return t + 1
 
     def _unlock_one(self, graph: ConstraintGraph, schedule: Schedule,
                     t: int, blocked: "set[str]") -> bool:

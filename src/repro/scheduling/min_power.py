@@ -249,21 +249,11 @@ class MinPowerScheduler:
             choice = t
         elif config.slot == "finish_at_gap_end":
             # Right-align the task to the end of the gap containing t.
-            gap_end = self._gap_end(profile, t)
+            gap_end = profile.segment_end(t)
             choice = gap_end - graph.task(name).duration
         else:
             choice = rng.randint(lo, hi)
         return min(max(choice, lo), hi)
-
-    @staticmethod
-    def _gap_end(profile: PowerProfile, t: int) -> int:
-        """End of the contiguous profile segment run containing ``t``
-        whose power stays below the segment level at ``t`` + epsilon —
-        conservatively, the end of the segment containing ``t``."""
-        for t0, t1, _ in profile.segments:
-            if t0 <= t < t1:
-                return t1
-        return t + 1
 
 
 def _utilization(profile: PowerProfile, p_min: float) -> float:

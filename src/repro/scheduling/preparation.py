@@ -114,7 +114,7 @@ class PreparedProblem:
         with OBS.span("sched.prepare", reused=True,
                       backtracks=self.timing_stats.timing_backtracks,
                       serial=self.serial):
-            pass
+            _count_serial(self.serial)
 
 
 def prepared_for(problem: SchedulingProblem, options: SchedulerOptions,
@@ -149,7 +149,16 @@ def prepare(problem: SchedulingProblem,
         prepared = _search(problem, options)
         span.set(backtracks=prepared.timing_stats.timing_backtracks,
                  serial=prepared.serial)
+        _count_serial(prepared.serial)
     return prepared
+
+
+def _count_serial(serial: str) -> None:
+    """Count a solve whose serial fallback gave up on its budget as
+    ``sched.serial.budget_exhausted`` (one per ``sched.prepare`` span
+    that records ``serial="budget_exhausted"``)."""
+    if serial == "budget_exhausted" and OBS.enabled:
+        OBS.metrics.counter("sched.serial.budget_exhausted").inc()
 
 
 def _search(problem: SchedulingProblem,

@@ -54,8 +54,9 @@ def asap_schedule(graph: ConstraintGraph, *,
     result = longest_paths(graph, probe=probe)
     if result is None:
         return None
-    return Schedule(graph, {name: result.distance[name]
-                            for name in graph.task_names()})
+    distance = result.distance
+    return Schedule(graph, {task.name: distance[task.name]
+                            for task in graph.task_tuple()})
 
 
 class TimingScheduler:

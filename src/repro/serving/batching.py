@@ -436,6 +436,12 @@ class Batcher:
                     and self.runner.store is not None:
                 absorb_store_stats(self.registry, store_before,
                                    self.runner.store.counters())
+            trace = self.runner.last_trace
+            exhausted = trace.metrics.get(
+                "sched.serial.budget_exhausted") if trace else None
+            if exhausted is not None:
+                self.registry.counter("sched.serial.budget_exhausted") \
+                    .inc(exhausted["value"])
 
     def _attribute_spans(self, entries, batch_number: int) -> None:
         """Slice the batch's engine span tree per submission.

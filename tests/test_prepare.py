@@ -229,6 +229,27 @@ class TestSerialBudget:
         assert prepare(fig1_problem(), options).serial == "skipped"
 
 
+def test_budget_exhausted_is_counted_per_solve():
+    # Fig. 1 exhausts the 200-backtrack serial budget.
+    from repro.obs import capture
+    with capture() as cap:
+        PowerAwareScheduler().solve_pipeline(fig1_problem())
+    assert cap.metrics_data["counters"][
+        "sched.serial.budget_exhausted"] == 1
+    problem, points = fig1_points()
+    runner = BatchRunner(RunnerConfig(use_cache=False, instrument=True))
+    runner.run([SolveJob(problem=problem.with_power_constraints(*point))
+                for point in points[:3]])
+    assert runner.last_trace.metrics[
+        "sched.serial.budget_exhausted"]["value"] == 3
+    with capture() as cap:
+        PowerAwareScheduler(SchedulerOptions(serial_fallback=False)) \
+            .solve_pipeline(fig1_problem())
+    assert "sched.serial.budget_exhausted" not in cap.metrics_data[
+        "counters"]
+    assert not OBS.enabled
+
+
 def test_timing_failure_is_recorded_and_reraised():
     graph = ConstraintGraph()
     graph.new_task("a", duration=10, power=1.0, resource="R")

@@ -159,6 +159,24 @@ def test_clients_share_cache_and_store():
         assert hits and int(hits.group(1)) >= 1
 
 
+def test_budget_exhausted_serial_searches_show_on_metrics():
+    # Fig. 1 exhausts the serial fallback's backtrack budget.
+    with LiveServer() as live:
+        client = ServingClient(live.url)
+        client.solve(fig1_problem(), p_max=16.0, p_min=14.0)
+        deadline = time.monotonic() + 5.0
+        while True:
+            metrics = client.metrics_text()
+            found = re.search(
+                r"^repro_sched_serial_budget_exhausted (\d+)", metrics,
+                flags=re.M)
+            if found:
+                break
+            assert time.monotonic() < deadline, metrics
+            time.sleep(0.05)
+        assert int(found.group(1)) == 1
+
+
 def test_concurrent_clients_coalesce_into_batches():
     problem = fig1_problem()
     config = ServingConfig(port=0, max_wait_ms=100.0)
