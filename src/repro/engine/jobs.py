@@ -41,8 +41,10 @@ from ..core.graph import set_add_log_factor
 from ..core.kernel import set_kernel, set_warm
 from ..core.problem import SchedulingProblem
 from ..scheduling.base import SchedulerOptions
+from ..scheduling.max_power import shared_repairs
 from ..scheduling.preparation import PreparedProblem, prepare
 from .hashing import problem_base_key, problem_key
+from .schedule_store import ScheduleStore
 
 __all__ = ["SolveJob", "JobResult", "derive_seed", "register_kind",
            "prepare_batch", "run_job", "run_chunk", "solve_problems"]
@@ -197,13 +199,18 @@ register_kind("sweep_point", _solve_sweep_point)
 def prepare_batch(entries: "Sequence[tuple[int, str, SolveJob]]",
                   store=None, share: bool = True) \
         -> "list[tuple[int, str, SolveJob]]":
-    """Share one preparation among the batch jobs that need it.
+    """Share one preparation, and the spike repairs, among the batch
+    jobs that need them.
 
     ``sweep_point`` jobs are grouped by content hash
     (``problem_base_key``); a group of two or more (when ``share``: the
     backend hands workers the job objects), or one ``store`` has yet to
     prime, is prepared once into each job's ``prepared``; then ``store``
     is primed.  DVFS jobs, whose graph depends on ``P_max``, never are.
+    When ``share``, the max-power restarts under each ``(P_max, total
+    baseline)`` that two or more of a group's jobs will repair also run
+    once here; those jobs get the preparation narrowed to that row
+    (:meth:`~repro.scheduling.preparation.PreparedProblem.with_repairs`).
     """
     groups: "dict[str, list[int]]" = {}
     for index, (_position, _key, job) in enumerate(entries):
@@ -225,7 +232,43 @@ def prepare_batch(entries: "Sequence[tuple[int, str, SolveJob]]",
         for _position, _key, job in out:
             store.ensure_primed(job.problem, job.options, kind=job.kind,
                                 prepared=job.prepared)
+    if share:
+        for base, members in groups.items():
+            _share_repairs(out, base, members, store)
     return out
+
+
+def _share_repairs(out: "list[tuple[int, str, SolveJob]]", base: str,
+                   members: "list[int]", store) -> None:
+    """Run the repairs of one prepared group once per shared budget.
+
+    A job the store will serve never repairs, so it does not count
+    towards sharing; the probe is the local, counter-free one, so
+    classifying jobs here moves no store hit count.
+    """
+    budgets: "dict[tuple[float, float], list[int]]" = {}
+    for index in members:
+        job = out[index][2]
+        if job.prepared is None:
+            return
+        problem = job.problem
+        if store is not None and ScheduleStore.probe(
+                store, base, problem.p_max, problem.p_min) is not None:
+            continue
+        budgets.setdefault((problem.p_max, problem.total_baseline),
+                           []).append(index)
+    for (p_max, baseline), indices in budgets.items():
+        if len(indices) < 2:
+            continue
+        first = out[indices[0]][2]
+        outcomes = shared_repairs(first.problem, first.prepared,
+                                  first.options)
+        if outcomes is None:
+            continue
+        narrowed = first.prepared.with_repairs(p_max, baseline, outcomes)
+        for index in indices:
+            position, key, job = out[index]
+            out[index] = (position, key, replace(job, prepared=narrowed))
 
 
 # ----------------------------------------------------------------------

@@ -41,6 +41,8 @@ from __future__ import annotations
 
 import random
 import sys
+import threading
+from contextlib import contextmanager
 
 from ..core.graph import ConstraintGraph
 from ..core.problem import SchedulingProblem
@@ -52,10 +54,10 @@ from ..errors import SchedulingFailure
 from ..obs import OBS
 from .base import ScheduleResult, SchedulerOptions, SchedulerStats, \
     make_result
-from .preparation import PreparedProblem, prepare
+from .preparation import PreparedProblem, RepairOutcome, prepare
 from .timing import asap_schedule
 
-__all__ = ["MaxPowerScheduler", "max_power_schedule"]
+__all__ = ["MaxPowerScheduler", "max_power_schedule", "shared_repairs"]
 
 
 class MaxPowerScheduler:
@@ -76,9 +78,12 @@ class MaxPowerScheduler:
         Starts from the timing serialization of ``prepared`` (prepared
         here when None), then removes spikes; with ``max_power_restarts
         > 1`` the repair is retried under perturbed tie-breaking and the
-        best (finish time, energy cost) schedule is kept.  The result
-        has ``stage="max_power"`` and the decorated graph in
-        ``extra["graph"]``.
+        best (finish time, energy cost) schedule is kept.  When
+        ``prepared`` holds the restart outcomes under this ``P_max``
+        (a batch's shared repairs), they are replayed instead of
+        repaired again; only the choice among them, which reads
+        ``P_min``, runs here.  The result has ``stage="max_power"`` and
+        the decorated graph in ``extra["graph"]``.
         """
         reasons = problem.feasible_power_check()
         if reasons:
@@ -89,47 +94,36 @@ class MaxPowerScheduler:
         base_graph = prepared.timing_graph()
         self.stats = SchedulerStats()
         self.stats.merge(prepared.timing_stats)
+        shared = prepared.repairs_for(problem.p_max, problem.total_baseline)
+        if shared is None:
+            outcomes = self._repair_all(problem, base_graph)
+        else:
+            outcomes = self._replay(shared)
 
-        best: "tuple[tuple[float, float], Schedule, ConstraintGraph] | None" \
-            = None
+        best: "tuple[tuple[float, float], Schedule] | None" = None
         failures: "list[str]" = []
 
-        def consider(schedule: Schedule, graph: ConstraintGraph) -> None:
+        def consider(schedule: Schedule) -> None:
             nonlocal best
             profile = PowerProfile.from_schedule(
                 schedule, baseline=problem.total_baseline)
             key = (float(schedule.makespan),
                    profile.energy_above(problem.p_min))
             if best is None or key < best[0]:
-                best = (key, schedule, graph)
+                best = (key, schedule)
 
-        for variant in range(max(1, self.options.max_power_restarts)):
-            graph = base_graph.copy()
-            with OBS.span("sched.maxp.restart",
-                          variant=variant) as restart_span:
-                try:
-                    schedule = self.eliminate_spikes(
-                        graph, problem.p_max, problem.total_baseline,
-                        variant=variant)
-                except SchedulingFailure as exc:
-                    restart_span.set(failed=True)
-                    failures.append(str(exc))
-                    continue
-                restart_span.set(makespan=schedule.makespan)
-            consider(schedule, graph)
-            if best is not None and variant == 0:
-                # The pure paper heuristic succeeded; further restarts
-                # only matter when we are still failing or when the
-                # caller asked for exploration.
-                if self.options.max_power_restarts == 1:
-                    break
+        for outcome in outcomes:
+            if outcome.schedule is None:
+                failures.append(outcome.failure)
+            else:
+                consider(outcome.schedule)
 
         if self.options.serial_fallback:
             # The serial JPL schedule competes when power-valid: under
             # tight budgets (the rover's worst case) it beats the repair.
             serial = prepared.serial_candidate(problem.p_max)
             if serial is not None:
-                consider(*serial)
+                consider(serial)
 
         if best is None:
             raise SchedulingFailure(
@@ -137,11 +131,51 @@ class MaxPowerScheduler:
                 f"{problem.name!r} under P_max = {problem.p_max:g} W "
                 f"({len(failures)} attempt(s); first failure: "
                 f"{failures[0] if failures else 'n/a'})")
-        _, schedule, graph = best
+        _, schedule = best
         result = make_result(problem, schedule, stats=self.stats,
                              stage="max_power")
-        result.extra["graph"] = graph
+        result.extra["graph"] = schedule.graph
         return result
+
+    def _repair_all(self, problem: SchedulingProblem,
+                   base_graph: ConstraintGraph) -> "list[RepairOutcome]":
+        """Run every restart's spike repair on a copy of ``base_graph``
+        under ``problem``'s ``P_max``; never reads ``P_min``.
+
+        Each outcome carries the counters its repair bumped, which are
+        also added to :attr:`stats`.
+        """
+        outcomes = []
+        for variant in range(max(1, self.options.max_power_restarts)):
+            run_stats, self.stats = self.stats, SchedulerStats()
+            with OBS.span("sched.maxp.restart",
+                          variant=variant) as restart_span:
+                try:
+                    schedule = self.eliminate_spikes(
+                        base_graph.copy(), problem.p_max,
+                        problem.total_baseline, variant=variant)
+                    failure = None
+                except SchedulingFailure as exc:
+                    schedule, failure = None, str(exc)
+                _mark_restart(restart_span, schedule)
+            delta, self.stats = self.stats, run_stats
+            run_stats.merge(delta)
+            outcomes.append(RepairOutcome(variant, schedule, failure, delta))
+        return outcomes
+
+    def _replay(self, outcomes: "tuple[RepairOutcome, ...]") \
+            -> "tuple[RepairOutcome, ...]":
+        """Take a batch's shared restart outcomes in place of running
+        the repair: their spans (``reused=True``) and counters."""
+        for outcome in outcomes:
+            with OBS.span("sched.maxp.restart", variant=outcome.variant,
+                          reused=True) as restart_span:
+                _mark_restart(restart_span, outcome.schedule)
+            self.stats.merge(outcome.stats)
+        if OBS.enabled:
+            OBS.metrics.counter("sched.maxp.repairs_reused") \
+                .inc(len(outcomes))
+        return outcomes
 
     # ------------------------------------------------------------------
 
@@ -162,14 +196,8 @@ class MaxPowerScheduler:
         else:
             self._salt = {name: self._rng.random()
                           for name in graph.task_names()}
-        # One recursion level per spike; deep schedules need headroom
-        # beyond CPython's default limit.
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, 50_000))
-        try:
+        with _recursion_headroom():
             schedule = self._repair(graph, p_max, baseline)
-        finally:
-            sys.setrecursionlimit(limit)
         if schedule is None:
             raise SchedulingFailure(
                 f"max-power scheduler could not eliminate all spikes of "
@@ -421,6 +449,65 @@ class MaxPowerScheduler:
                 return True
         graph.rollback(token)
         return False
+
+
+def _mark_restart(span, schedule: "Schedule | None") -> None:
+    if schedule is None:
+        span.set(failed=True)
+    else:
+        span.set(makespan=schedule.makespan)
+
+
+#: Recursion limit a spike repair needs: one level per spike, beyond
+#: CPython's default for deep schedules.
+REPAIR_RECURSION_LIMIT = 50_000
+
+_headroom_lock = threading.Lock()
+#: Repairs running now, and the limit to restore when the last ends.
+_headroom_users = 0
+_headroom_saved = 0
+
+
+@contextmanager
+def _recursion_headroom():
+    """Raise the process-wide recursion limit for one repair.
+
+    The limit is shared by every thread (the solve server repairs in
+    worker threads), so it is raised when the first concurrent repair
+    enters and restored only when the last one leaves; a repair that
+    saved and restored it alone could drop the limit under another
+    thread's deep recursion.
+    """
+    global _headroom_users, _headroom_saved
+    with _headroom_lock:
+        if _headroom_users == 0:
+            _headroom_saved = sys.getrecursionlimit()
+            sys.setrecursionlimit(
+                max(_headroom_saved, REPAIR_RECURSION_LIMIT))
+        _headroom_users += 1
+    try:
+        yield
+    finally:
+        with _headroom_lock:
+            _headroom_users -= 1
+            if _headroom_users == 0:
+                sys.setrecursionlimit(_headroom_saved)
+
+
+def shared_repairs(problem: SchedulingProblem, prepared: PreparedProblem,
+                   options: "SchedulerOptions | None" = None) \
+        -> "tuple[RepairOutcome, ...] | None":
+    """Every restart's repair under ``problem``'s ``P_max``, in the
+    journal-free form a batch keeps in
+    :attr:`PreparedProblem.repairs`; None when a solve of ``problem``
+    never reaches the repair (timing failure, or a task above
+    ``P_max``)."""
+    if prepared.timing_failure is not None \
+            or problem.feasible_power_check():
+        return None
+    outcomes = MaxPowerScheduler(options)._repair_all(
+        problem, prepared.graph)
+    return tuple(outcome.compact() for outcome in outcomes)
 
 
 def max_power_schedule(problem: SchedulingProblem,

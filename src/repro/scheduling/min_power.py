@@ -73,6 +73,10 @@ class MinPowerScheduler:
     def __init__(self, options: "SchedulerOptions | None" = None):
         self.options = options or SchedulerOptions()
         self.stats = SchedulerStats()
+        #: ``(schedule, graph version, candidate rows)`` of the last
+        #: schedule gap candidates were listed for
+        #: (:meth:`_gap_candidates`).
+        self._listed: "tuple[Schedule, int, list] | None" = None
 
     # ------------------------------------------------------------------
 
@@ -177,54 +181,62 @@ class MinPowerScheduler:
         Returns ``(schedule, profile, rho)`` on an accepted move, else
         None.  The gap may have moved or closed since the scan list was
         built; we re-read the profile and skip stale entries.
+
+        ``schedule`` is the ASAP schedule of ``graph``.  The new start
+        always lies within the task's slack, where no other task moves,
+        so the trial is exactly the ASAP schedule of the graph plus the
+        move's release edge; the edge is added only once the move is
+        accepted, and a rejected trial leaves the graph untouched.
         """
         if profile.value(t) >= p_min - PowerProfile.POWER_TOL:
             return None
         makespan = schedule.makespan
-        candidates = self._gap_candidates(graph, schedule, t)
-        for name in candidates:
+        for name in self._gap_candidates(schedule, t):
             window = self._slot_window(graph, schedule, name, t)
             if window is None:
                 continue
             new_start = self._choose_slot(graph, window, name, t,
                                           profile, config, rng)
-            token = graph.checkpoint()
-            changed = graph.add_edge(ANCHOR_NAME, name, new_start,
-                                     tag="gapfill")
-            if not changed:
-                graph.rollback(token)
-                continue
-            accepted = None
-            trial = asap_schedule(graph, probe=True)
-            if trial is not None and trial.makespan <= makespan:
+            trial = schedule.with_start(name, new_start)
+            if trial.makespan <= makespan:
                 trial_profile = PowerProfile.from_schedule(
                     trial, baseline=baseline, horizon=makespan)
                 if trial_profile.is_power_valid(p_max):
                     rho_new = _utilization(trial_profile, p_min)
                     if rho_new > rho_now + _RHO_EPS:
-                        accepted = (trial, trial_profile, rho_new)
-            if accepted is not None:
-                self.stats.gap_fill_moves += 1
-                return accepted
+                        graph.add_edge(ANCHOR_NAME, name, new_start,
+                                       tag="gapfill")
+                        self.stats.gap_fill_moves += 1
+                        return trial, trial_profile, rho_new
             self.stats.gap_fill_rejected += 1
-            graph.rollback(token)
         return None
 
-    def _gap_candidates(self, graph: ConstraintGraph,
-                        schedule: Schedule, t: int) -> "list[str]":
+    def _gap_candidates(self, schedule: Schedule, t: int) -> "list[str]":
         """Tasks that start before ``t`` and could be active at ``t``
-        after a within-slack delay; nearest (latest-starting) first."""
-        out = []
-        for name, start in schedule.items():
-            task = graph.task(name)
-            if task.duration == 0 or task.power == 0 or start > t:
-                continue
-            if schedule.is_active(name, t):
-                continue
-            if slack(schedule, name) >= t - start - task.duration + 1:
-                out.append((start, name))
-        out.sort(key=lambda pair: (-pair[0], pair[1]))
-        return [name for _, name in out]
+        after a within-slack delay; nearest (latest-starting) first.
+
+        A task with power is a candidate exactly when it ends by ``t``
+        and its slack reaches it: ``end <= t <= end - 1 + slack``.  The
+        ordered ``(start, name, end, end - 1 + slack)`` list is built
+        once per schedule and graph version.
+        """
+        listed = self._listed
+        version = schedule.graph._version
+        if listed is None or listed[0] is not schedule \
+                or listed[1] != version:
+            reach = []
+            tasks = schedule.graph._tasks
+            for name, start in schedule.items():
+                task = tasks[name]
+                if task.duration == 0 or task.power == 0:
+                    continue
+                end = start + task.duration
+                reach.append((start, name, end,
+                              end - 1 + slack(schedule, name)))
+            reach.sort(key=lambda row: (-row[0], row[1]))
+            listed = self._listed = (schedule, version, reach)
+        return [name for _start, name, end, last in listed[2]
+                if end <= t <= last]
 
     def _slot_window(self, graph: ConstraintGraph, schedule: Schedule,
                      name: str, t: int) -> "tuple[int, int] | None":

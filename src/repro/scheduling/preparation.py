@@ -21,12 +21,19 @@ that solve it, keyed by content hash (``repro.engine.jobs.
 prepare_batch``).  Problems carrying DVFS ladders are never handed a
 prepared problem: their pipeline runs on a graph materialized from a
 configuration chosen under ``P_max``.
+
+The spike repair reads ``P_max`` and the total baseline but never
+``P_min``, so a batch whose jobs share a ``P_max`` also runs it once:
+the outcome of each max-power restart (:class:`RepairOutcome`) is kept
+in :attr:`PreparedProblem.repairs`, keyed by ``(P_max, total
+baseline)``, and the max-power stage replays it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Mapping
 
 from ..core.graph import ConstraintGraph
 from ..core.problem import SchedulingProblem
@@ -39,7 +46,7 @@ from .base import ScheduleResult, SchedulerOptions, SchedulerStats, \
 from .serial import SerialScheduler
 from .timing import TimingScheduler
 
-__all__ = ["PreparedProblem", "prepare", "prepared_for",
+__all__ = ["PreparedProblem", "RepairOutcome", "prepare", "prepared_for",
            "SERIAL_FALLBACK_BACKTRACKS"]
 
 #: Backtrack budget of the serial fallback search.  The search is
@@ -48,6 +55,26 @@ __all__ = ["PreparedProblem", "prepare", "prepared_for",
 #: time.  Read only by :func:`prepare`, so the max-power stage and the
 #: schedule store's certification always agree on the serial outcome.
 SERIAL_FALLBACK_BACKTRACKS = 200
+
+
+@dataclass(frozen=True)
+class RepairOutcome:
+    """One max-power restart's spike repair, as a batch shares it.
+
+    ``schedule`` is the repaired schedule on its own journal-free graph
+    copy, or None when the repair failed with ``failure`` (the
+    :class:`SchedulingFailure` message).  ``stats`` holds the
+    :class:`SchedulerStats` counters the repair bumped.
+    """
+
+    variant: int
+    schedule: "Schedule | None"
+    failure: "str | None"
+    stats: SchedulerStats
+
+    def compact(self) -> "RepairOutcome":
+        """A copy whose schedule sits on a journal-free graph copy."""
+        return dataclasses.replace(self, schedule=_rebased(self.schedule))
 
 
 @dataclass(frozen=True)
@@ -61,6 +88,11 @@ class PreparedProblem:
     ``"none"`` (proved), ``"budget_exhausted"`` (gave up), or
     ``"skipped"`` (fallback off, or no time-valid schedule at all).
 
+    ``repairs`` maps ``(P_max, total baseline)`` to the outcome of
+    every max-power restart under that budget, in variant order; it is
+    filled only by a batch whose jobs share the budget
+    (:meth:`with_repairs`).
+
     The graphs are shared by every solve handed this object and must be
     treated as read-only; the schedulers only ever copy them.
     """
@@ -72,6 +104,8 @@ class PreparedProblem:
     serial: str = "skipped"
     serial_schedule: "Schedule | None" = None
     serial_profile: "PowerProfile | None" = None
+    repairs: "Mapping[tuple[float, float], tuple[RepairOutcome, ...]]" = \
+        field(default_factory=dict, compare=False, repr=False)
 
     def timing_graph(self) -> ConstraintGraph:
         """The timing-serialized graph; re-raises the timing failure."""
@@ -91,13 +125,12 @@ class PreparedProblem:
         result.extra["graph"] = graph
         return result
 
-    def serial_candidate(self, p_max: float) \
-            -> "tuple[Schedule, ConstraintGraph] | None":
-        """The serial schedule and its graph when it fits ``p_max``."""
+    def serial_candidate(self, p_max: float) -> "Schedule | None":
+        """The serial schedule when it fits ``p_max``."""
         if self.serial_profile is None \
                 or not self.serial_profile.is_power_valid(p_max):
             return None
-        return self.serial_schedule, self.serial_schedule.graph
+        return self.serial_schedule
 
     def compact(self) -> "PreparedProblem":
         """A copy on fresh graph copies, free of the searches' journals
@@ -107,6 +140,19 @@ class PreparedProblem:
             self, graph=None if schedule is None else schedule.graph,
             schedule=schedule,
             serial_schedule=_rebased(self.serial_schedule))
+
+    def repairs_for(self, p_max: float, baseline: float) \
+            -> "tuple[RepairOutcome, ...] | None":
+        """The shared restart outcomes under ``(p_max, baseline)``."""
+        return self.repairs.get((p_max, baseline))
+
+    def with_repairs(self, p_max: float, baseline: float,
+                     outcomes: "tuple[RepairOutcome, ...]") \
+            -> "PreparedProblem":
+        """A copy whose table holds only the ``(p_max, baseline)`` row,
+        so a job pickled to a worker carries just its own outcomes."""
+        return dataclasses.replace(
+            self, repairs={(p_max, baseline): tuple(outcomes)})
 
     def record_reuse(self) -> None:
         """Record a ``sched.prepare`` span (``reused=True``) for one

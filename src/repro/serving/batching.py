@@ -50,6 +50,11 @@ __all__ = ["BatchingConfig", "Submission", "Batcher"]
 #: Submission status values as they appear on the wire.
 STATUSES = ("queued", "running", "done", "cancelled", "error")
 
+#: Counters of the engine's run trace the server adds to its /metrics:
+#: serial searches that gave up, and repairs a batch shared.
+RUN_COUNTERS = ("sched.serial.budget_exhausted",
+                "sched.maxp.repairs_reused")
+
 
 @dataclass
 class BatchingConfig:
@@ -437,11 +442,10 @@ class Batcher:
                 absorb_store_stats(self.registry, store_before,
                                    self.runner.store.counters())
             trace = self.runner.last_trace
-            exhausted = trace.metrics.get(
-                "sched.serial.budget_exhausted") if trace else None
-            if exhausted is not None:
-                self.registry.counter("sched.serial.budget_exhausted") \
-                    .inc(exhausted["value"])
+            for name in RUN_COUNTERS:
+                counted = trace.metrics.get(name) if trace else None
+                if counted is not None:
+                    self.registry.counter(name).inc(counted["value"])
 
     def _attribute_spans(self, entries, batch_number: int) -> None:
         """Slice the batch's engine span tree per submission.

@@ -1,11 +1,20 @@
 """Unit tests for the min-power scheduler (paper Fig. 6)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import (ConstraintGraph, MaxPowerScheduler, MinPowerScheduler,
                    SchedulerOptions, SchedulingProblem,
                    check_power_valid, min_power_schedule)
+from repro.core import ANCHOR_NAME, PowerProfile
+from repro.core.slack import slack
+from repro.errors import SchedulingFailure
 from repro.examples_data import fig1_options, fig1_problem
+from repro.scheduling import prepare
+from repro.scheduling.min_power import _RHO_EPS, _utilization
+from repro.scheduling.timing import asap_schedule
+from repro.workloads import RandomWorkloadConfig, random_problem
 
 
 def gap_problem() -> SchedulingProblem:
@@ -100,3 +109,125 @@ class TestPaperExample:
         assert result.utilization == pytest.approx(1.0)
         assert result.profile.floor() == pytest.approx(14.0)
         assert result.metrics.peak_power <= 16.0 + 1e-9
+
+
+# ----------------------------------------------------------------------
+# trials built without longest paths
+# ----------------------------------------------------------------------
+
+class ReferenceMinPower(MinPowerScheduler):
+    """Gap filling as it was before trials skipped the longest paths:
+    every trial adds its release edge, re-solves the ASAP schedule and
+    rolls back when rejected; candidates are re-scanned per gap."""
+
+    def _fill_one_gap(self, graph, schedule, profile, t, p_max, p_min,
+                      baseline, config, rng, rho_now):
+        if profile.value(t) >= p_min - PowerProfile.POWER_TOL:
+            return None
+        makespan = schedule.makespan
+        for name in self._gap_candidates(schedule, t):
+            window = self._slot_window(graph, schedule, name, t)
+            if window is None:
+                continue
+            new_start = self._choose_slot(graph, window, name, t,
+                                          profile, config, rng)
+            token = graph.checkpoint()
+            if not graph.add_edge(ANCHOR_NAME, name, new_start,
+                                  tag="gapfill"):
+                graph.rollback(token)
+                continue
+            accepted = None
+            trial = asap_schedule(graph, probe=True)
+            if trial is not None and trial.makespan <= makespan:
+                trial_profile = PowerProfile.from_schedule(
+                    trial, baseline=baseline, horizon=makespan)
+                if trial_profile.is_power_valid(p_max):
+                    rho_new = _utilization(trial_profile, p_min)
+                    if rho_new > rho_now + _RHO_EPS:
+                        accepted = (trial, trial_profile, rho_new)
+            if accepted is not None:
+                self.stats.gap_fill_moves += 1
+                return accepted
+            self.stats.gap_fill_rejected += 1
+            graph.rollback(token)
+        return None
+
+    def _gap_candidates(self, schedule, t):
+        graph = schedule.graph
+        out = []
+        for name, start in schedule.items():
+            task = graph.task(name)
+            if task.duration == 0 or task.power == 0 or start > t:
+                continue
+            if schedule.is_active(name, t):
+                continue
+            if slack(schedule, name) >= t - start - task.duration + 1:
+                out.append((start, name))
+        out.sort(key=lambda pair: (-pair[0], pair[1]))
+        return [name for _, name in out]
+
+
+def random_instance(seed, tasks, level=1.0):
+    problem = random_problem(
+        seed, RandomWorkloadConfig(tasks=tasks, resources=3, layers=3))
+    return problem.with_power_constraints(
+        problem.p_max, min(problem.p_max, problem.p_min * level))
+
+
+def max_power_base(seed, tasks, level):
+    problem = random_instance(seed, tasks, level)
+    options = SchedulerOptions(max_power_restarts=1, max_spike_attempts=200)
+    try:
+        return problem, MaxPowerScheduler(options).solve(problem)
+    except SchedulingFailure:
+        return problem, None
+
+
+class TestTrialWithoutLongestPaths:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 10_000), tasks=st.sampled_from((8, 16)),
+           picks=st.lists(st.tuples(st.integers(0, 10_000),
+                                    st.integers(1, 10_000)),
+                          min_size=1, max_size=6))
+    def test_within_slack_delay_is_the_asap_schedule(self, seed, tasks,
+                                                     picks):
+        graph = prepare(random_instance(seed, tasks)).graph
+        schedule = asap_schedule(graph)
+        names = sorted(schedule)
+        for pick, amount in picks:
+            name = names[pick % len(names)]
+            room = min(slack(schedule, name), 10_000)
+            if room == 0:
+                continue
+            new_start = schedule.start(name) + 1 + amount % room
+            moved = schedule.with_start(name, new_start)
+            assert graph.add_edge(ANCHOR_NAME, name, new_start,
+                                  tag="gapfill")
+            schedule = asap_schedule(graph)
+            assert schedule.as_dict() == moved.as_dict()
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 10_000), tasks=st.sampled_from((8, 16)),
+           level=st.sampled_from((0.5, 1.0, 1.4)),
+           slots=st.sampled_from((("start_at_gap",), ("finish_at_gap_end",),
+                                  ("random",), ("start_at_gap", "random"))))
+    def test_same_moves_and_counters_as_the_reference(self, seed, tasks,
+                                                      level, slots):
+        problem, base = max_power_base(seed, tasks, level)
+        if base is None:
+            return
+        options = SchedulerOptions(slot_heuristics=slots, seed=seed)
+        fast = MinPowerScheduler(options)
+        reference = ReferenceMinPower(options)
+        got = fast.improve(problem, base)
+        want = reference.improve(problem, base)
+        assert got.schedule.as_dict() == want.schedule.as_dict()
+        assert got.utilization == want.utilization
+        for counter in ("gap_fill_moves", "gap_fill_rejected", "scans"):
+            assert getattr(fast.stats, counter) \
+                == getattr(reference.stats, counter), counter
+        # The accepted moves are the graph's only new edges.
+        winner = got.extra["graph"]
+        assert asap_schedule(winner).as_dict() == got.schedule.as_dict()

@@ -260,13 +260,16 @@ class TestExporters:
 # ----------------------------------------------------------------------
 
 class TestTraceSchemaV2:
-    def _run_instrumented(self, tmp_path, workers=0):
+    def _run_instrumented(self, tmp_path, workers=0,
+                          points=((14.0, 10.0), (15.0, 10.0),
+                                  (16.0, 10.0))):
         path = str(tmp_path / f"trace_w{workers}.json")
         runner = BatchRunner(RunnerConfig(workers=workers,
                                           trace_path=path,
                                           instrument=True))
-        jobs = [SolveJob(problem=tiny_problem(p_max=p))
-                for p in (14.0, 15.0, 16.0)]
+        jobs = [SolveJob(problem=tiny_problem(p_max=p_max)
+                         .with_power_constraints(p_max, p_min))
+                for p_max, p_min in points]
         runner.run(jobs)
         return path
 
@@ -318,10 +321,21 @@ class TestTraceSchemaV2:
             RunTrace.from_dict({"format": "other", "version": 2})
 
     def test_serial_and_parallel_agree(self, tmp_path):
-        serial = json.loads(open(
-            self._run_instrumented(tmp_path, workers=0)).read())
-        parallel = json.loads(open(
-            self._run_instrumented(tmp_path, workers=2)).read())
+        self._assert_serial_and_parallel_agree(tmp_path)
+
+    def test_serial_and_parallel_agree_with_repeated_p_max(self, tmp_path):
+        # Each P_max twice: the batch shares its spike repairs.
+        serial = self._assert_serial_and_parallel_agree(
+            tmp_path, points=((14.0, 6.0), (14.0, 10.0), (16.0, 6.0),
+                              (16.0, 10.0)))
+        assert serial["metrics"]["sched.maxp.repairs_reused"][
+            "value"] == 4 * 2
+
+    def _assert_serial_and_parallel_agree(self, tmp_path, **run):
+        serial = json.loads(open(self._run_instrumented(
+            tmp_path, workers=0, **run)).read())
+        parallel = json.loads(open(self._run_instrumented(
+            tmp_path, workers=2, **run)).read())
 
         def tree_shape(span_doc):
             return (span_doc["name"],
@@ -347,6 +361,7 @@ class TestTraceSchemaV2:
                     if m["type"] == "histogram"}
 
         assert histogram_counts(serial) == histogram_counts(parallel)
+        return serial
 
     def test_uninstrumented_trace_has_no_spans(self, tmp_path):
         path = str(tmp_path / "plain.json")

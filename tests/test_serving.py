@@ -177,6 +177,26 @@ def test_budget_exhausted_serial_searches_show_on_metrics():
         assert int(found.group(1)) == 1
 
 
+def test_shared_repairs_show_on_metrics():
+    # Two points per P_max: the sweep's batch repairs each budget once
+    # and every point replays both restarts.
+    problem = fig1_problem()
+    with LiveServer() as live:
+        ack = live.client.sweep(problem, budgets=[16.0, 20.0],
+                                levels=[4.0, 8.0])
+        assert live.client.wait(ack["job"])["status"] == "done"
+        deadline = time.monotonic() + 5.0
+        while True:
+            metrics = live.client.metrics_text()
+            found = re.search(r"^repro_sched_maxp_repairs_reused (\d+)",
+                              metrics, flags=re.M)
+            if found:
+                break
+            assert time.monotonic() < deadline, metrics
+            time.sleep(0.05)
+    assert int(found.group(1)) == 4 * 2
+
+
 def test_concurrent_clients_coalesce_into_batches():
     problem = fig1_problem()
     config = ServingConfig(port=0, max_wait_ms=100.0)
