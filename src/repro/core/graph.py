@@ -538,6 +538,21 @@ class ConstraintGraph:
         """Return a token capturing the current edge set."""
         return len(self._journal)
 
+    def journal_signature(self, token: int) -> "frozenset":
+        """The current value of every pair journaled since ``token``.
+
+        Between a ``checkpoint()`` and rollbacks no deeper than it, every
+        pair outside this set still holds its value at ``token``, so two
+        such states with equal signatures have equal edge sets and the
+        same journaled pairs — and ``weaken_edge``, the one mutation that
+        reads the journal, treats them alike.  The backtracking schedulers
+        key search states on it.  A pair's value is ``(weight, tag)``, or
+        None when the pair was removed.
+        """
+        edges = self._edges
+        return frozenset({key: edges.get(key)
+                          for key, _ in self._journal[token:]}.items())
+
     def rollback(self, token: int) -> None:
         """Undo every edge mutation made after ``checkpoint()``."""
         if token < 0 or token > len(self._journal):

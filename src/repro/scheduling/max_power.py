@@ -34,7 +34,12 @@ bench):
 Like the paper's algorithm this remains a *heuristic, bounded* search:
 it does not enumerate all partial orders, so in rare cases it can fail
 even though a valid schedule exists (the optimal-gap benchmark
-quantifies this).  It raises :class:`SchedulingFailure` in that case.
+quantifies this).  It raises :class:`SchedulingFailure` in that case,
+as :class:`BudgetExhausted` when it gave up at ``max_spike_attempts``.
+Backtracking revisits edge sets, so one restart keeps a dead-end memo:
+a state whose subtree failed within budget is charged its recorded
+cost on a later visit instead of being searched again, which leaves
+every answer and counter as the plain search gives them.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from ..core.profile import PowerProfile
 from ..core.schedule import Schedule
 from ..core.slack import slack
 from ..core.task import ANCHOR_NAME
-from ..errors import SchedulingFailure
+from ..errors import BudgetExhausted, SchedulingFailure
 from ..obs import OBS
 from .base import ScheduleResult, SchedulerOptions, SchedulerStats, \
     make_result
@@ -68,6 +73,7 @@ class MaxPowerScheduler:
         self.stats = SchedulerStats()
         self._salt: "dict[str, float]" = {}
         self._rng = random.Random(self.options.seed)
+        self._replayed = 0
 
     # ------------------------------------------------------------------
 
@@ -150,17 +156,23 @@ class MaxPowerScheduler:
             run_stats, self.stats = self.stats, SchedulerStats()
             with OBS.span("sched.maxp.restart",
                           variant=variant) as restart_span:
+                schedule = failure = exhausted = None
                 try:
                     schedule = self.eliminate_spikes(
                         base_graph.copy(), problem.p_max,
                         problem.total_baseline, variant=variant)
-                    failure = None
+                except BudgetExhausted as exc:
+                    failure, exhausted = str(exc), "budget"
                 except SchedulingFailure as exc:
-                    schedule, failure = None, str(exc)
-                _mark_restart(restart_span, schedule)
-            delta, self.stats = self.stats, run_stats
+                    failure, exhausted = str(exc), "tree"
+                delta, self.stats = self.stats, run_stats
+                outcome = RepairOutcome(variant, schedule, failure,
+                                        exhausted, delta)
+                _mark_restart(restart_span, outcome)
+                if self._replayed:
+                    restart_span.set(dead_end_replays=self._replayed)
             run_stats.merge(delta)
-            outcomes.append(RepairOutcome(variant, schedule, failure, delta))
+            outcomes.append(outcome)
         return outcomes
 
     def _replay(self, outcomes: "tuple[RepairOutcome, ...]") \
@@ -170,7 +182,7 @@ class MaxPowerScheduler:
         for outcome in outcomes:
             with OBS.span("sched.maxp.restart", variant=outcome.variant,
                           reused=True) as restart_span:
-                _mark_restart(restart_span, outcome.schedule)
+                _mark_restart(restart_span, outcome)
             self.stats.merge(outcome.stats)
         if OBS.enabled:
             OBS.metrics.counter("sched.maxp.repairs_reused") \
@@ -188,21 +200,40 @@ class MaxPowerScheduler:
         decorated with the delay/lock edges that realize the valid
         schedule.  ``variant > 0`` perturbs heuristic tie-breaking
         (multi-start).
+
+        Raises :class:`BudgetExhausted` when the repair gave up at the
+        attempt budget, and a plain :class:`SchedulingFailure` when
+        every branch dead-ended first.
         """
-        self._attempts = self.options.max_spike_attempts
+        budget = self.options.max_spike_attempts
+        self._attempts = budget
         self._rng = random.Random((self.options.seed, variant).__hash__())
         if variant == 0:
             self._salt = {}
         else:
             self._salt = {name: self._rng.random()
                           for name in graph.task_names()}
+        # Dead-end memo for this episode; the shuffled ablation order
+        # draws from the RNG, so a revisited state searches differently.
+        self._dead_ends = {} if self.options.slack_ordering else None
+        self._episode = graph.checkpoint()
+        self._replayed = 0
         with _recursion_headroom():
             schedule = self._repair(graph, p_max, baseline)
+        if OBS.enabled and self._replayed:
+            OBS.metrics.counter("sched.maxp.dead_end_replays") \
+                .inc(self._replayed)
         if schedule is None:
+            what = (f"max-power scheduler could not eliminate all spikes "
+                    f"of {graph.name!r} under P_max = {p_max:g} W")
+            if self._attempts <= 0:
+                if OBS.enabled:
+                    OBS.metrics.counter("sched.maxp.budget_exhausted").inc()
+                raise BudgetExhausted(
+                    f"{what} (gave up at the attempt budget {budget})")
             raise SchedulingFailure(
-                f"max-power scheduler could not eliminate all spikes of "
-                f"{graph.name!r} under P_max = {p_max:g} W "
-                f"(attempt budget {self.options.max_spike_attempts})")
+                f"{what} (every branch dead-ended after "
+                f"{budget - self._attempts} of {budget} attempts)")
         if self.options.compaction:
             schedule = self.compact(graph, p_max, baseline)
         return schedule
@@ -219,6 +250,23 @@ class MaxPowerScheduler:
             return schedule
         if self._attempts <= 0:
             return None
+        memo = self._dead_ends
+        if memo is not None:
+            # Graph operations depend on the edge set and the journaled
+            # pairs alone, so a state that dead-ended within budget
+            # before dead-ends again the same way: replay its cost.
+            key = graph.journal_signature(self._episode)
+            cost = memo.get(key)
+            if cost is not None and cost[0] <= self._attempts:
+                spent, removed, delays = cost
+                self._attempts -= spent
+                self._replayed += spent
+                self.stats.spike_attempts += spent
+                self.stats.spikes_removed += removed
+                self.stats.delays_applied += delays
+                return None
+            before = (self._attempts, self.stats.spikes_removed,
+                      self.stats.delays_applied)
 
         t = spike.start
         candidates = self._ordered_active(schedule, t)
@@ -239,6 +287,11 @@ class MaxPowerScheduler:
                 if solved is not None:
                     return solved
             graph.rollback(token)
+        if memo is not None and 0 < self._attempts < before[0]:
+            # Explored to the end without touching the budget.
+            memo[key] = (before[0] - self._attempts,
+                         self.stats.spikes_removed - before[1],
+                         self.stats.delays_applied - before[2])
         return None
 
     # ------------------------------------------------------------------
@@ -451,11 +504,11 @@ class MaxPowerScheduler:
         return False
 
 
-def _mark_restart(span, schedule: "Schedule | None") -> None:
-    if schedule is None:
-        span.set(failed=True)
+def _mark_restart(span, outcome: RepairOutcome) -> None:
+    if outcome.schedule is None:
+        span.set(failed=True, exhausted=outcome.exhausted)
     else:
-        span.set(makespan=schedule.makespan)
+        span.set(makespan=outcome.schedule.makespan)
 
 
 #: Recursion limit a spike repair needs: one level per spike, beyond

@@ -63,13 +63,16 @@ class RepairOutcome:
 
     ``schedule`` is the repaired schedule on its own journal-free graph
     copy, or None when the repair failed with ``failure`` (the
-    :class:`SchedulingFailure` message).  ``stats`` holds the
-    :class:`SchedulerStats` counters the repair bumped.
+    :class:`SchedulingFailure` message) after it ``exhausted`` its
+    ``"budget"`` (gave up) or its ``"tree"`` (every branch dead-ended).
+    ``stats`` holds the :class:`SchedulerStats` counters the repair
+    bumped.
     """
 
     variant: int
     schedule: "Schedule | None"
     failure: "str | None"
+    exhausted: "str | None"
     stats: SchedulerStats
 
     def compact(self) -> "RepairOutcome":

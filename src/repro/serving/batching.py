@@ -51,9 +51,12 @@ __all__ = ["BatchingConfig", "Submission", "Batcher"]
 STATUSES = ("queued", "running", "done", "cancelled", "error")
 
 #: Counters of the engine's run trace the server adds to its /metrics:
-#: serial searches that gave up, and repairs a batch shared.
+#: serial searches and spike repairs that gave up, repairs a batch
+#: shared, and repair attempts answered from the dead-end memo.
 RUN_COUNTERS = ("sched.serial.budget_exhausted",
-                "sched.maxp.repairs_reused")
+                "sched.maxp.budget_exhausted",
+                "sched.maxp.repairs_reused",
+                "sched.maxp.dead_end_replays")
 
 
 @dataclass

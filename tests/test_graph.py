@@ -1,6 +1,8 @@
 """Unit tests for the constraint graph."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ConstraintGraph, GraphError, Resource
 from repro.core.task import ANCHOR_NAME
@@ -221,3 +223,84 @@ class TestCopyMerge:
         assert two_tasks.strip_tags(["delay"]) == 1
         assert two_tasks.separation("u", "v") is None
         assert two_tasks.separation("v", "u") == -9
+
+
+JOURNAL_TASKS = ("a", "b", "c")
+JOURNAL_PAIRS = st.sampled_from(
+    [(src, dst) for src in (ANCHOR_NAME,) + JOURNAL_TASKS
+     for dst in (ANCHOR_NAME,) + JOURNAL_TASKS if src != dst])
+JOURNAL_OPS = st.one_of(
+    st.tuples(st.just("add"), JOURNAL_PAIRS, st.integers(-3, 5),
+              st.sampled_from(["user", "delay", "lock"])),
+    st.tuples(st.just("lock"), st.sampled_from(JOURNAL_TASKS),
+              st.integers(0, 5)),
+    st.tuples(st.just("weaken"), JOURNAL_PAIRS),
+    st.just(("checkpoint",)),
+    st.just(("rollback",)))
+
+
+def edge_map(graph):
+    return {(e.src, e.dst): (e.weight, e.tag) for e in graph.edges()}
+
+
+class TestJournalSignature:
+    """The premise of the max-power repair's dead-end memo: inside one
+    episode (a fresh copy, then checkpoints and rollbacks no deeper than
+    its start) the signature determines the edge set."""
+
+    @given(st.lists(st.tuples(JOURNAL_PAIRS, st.integers(-3, 5)),
+                    max_size=6),
+           st.lists(JOURNAL_OPS, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_signatures_mean_equal_edge_sets(self, base_edges, ops):
+        base = ConstraintGraph("base")
+        for name in JOURNAL_TASKS:
+            base.new_task(name, duration=2)
+        for (src, dst), weight in base_edges:
+            base.add_edge(src, dst, weight)
+        graph = base.copy()
+        episode = graph.checkpoint()
+        start = edge_map(graph)
+        tokens = []
+        seen = {}
+        for op in ops:
+            if op[0] == "add":
+                graph.add_edge(*op[1], op[2], tag=op[3])
+            elif op[0] == "lock":
+                graph.lock_start(op[1], op[2])
+            elif op[0] == "weaken":
+                restores = op[1] in edge_map(graph) and op[1] in dict(
+                    graph.journal_signature(episode))
+                graph.weaken_edge(*op[1])
+                if restores:
+                    # A journaled pair holding an edge gets its
+                    # episode-start value back, or none when the
+                    # episode created it.
+                    assert edge_map(graph).get(op[1]) == start.get(op[1])
+            elif op[0] == "checkpoint":
+                tokens.append(graph.checkpoint())
+            elif tokens:
+                graph.rollback(tokens.pop())
+            signature = graph.journal_signature(episode)
+            edges = edge_map(graph)
+            assert seen.setdefault(signature, edges) == edges
+            assert dict(signature) == {key: edges.get(key)
+                                       for key, _ in signature}
+            untouched = {key for key in start.keys() | edges.keys()
+                         if key not in dict(signature)}
+            assert {key: edges.get(key) for key in untouched} \
+                == {key: start.get(key) for key in untouched}
+
+    def test_signature_ignores_the_order_of_mutations(self, two_tasks):
+        first, second = two_tasks.copy(), two_tasks.copy()
+        first.add_edge("u", "v", 2)
+        first.add_release("v", 4)
+        second.add_release("v", 4)
+        second.add_edge("u", "v", 2)
+        assert first.journal_signature(0) == second.journal_signature(0)
+        token = first.checkpoint()
+        first.add_edge("u", "v", 9)
+        assert first.journal_signature(0) != second.journal_signature(0)
+        first.rollback(token)
+        assert first.journal_signature(0) == second.journal_signature(0)
+        assert first.journal_signature(token) == frozenset()

@@ -27,6 +27,7 @@ from repro import PowerAwareScheduler
 from repro.examples_data import fig1_problem
 from repro.io import problem_to_dict, save_problem
 from repro.io.requests import ERROR_CODES
+from repro.mission import MarsRover, SolarCase
 from repro.serving import (ServingClient, ServingConfig, ServingError,
                            SolveServer)
 
@@ -175,6 +176,26 @@ def test_budget_exhausted_serial_searches_show_on_metrics():
             assert time.monotonic() < deadline, metrics
             time.sleep(0.05)
         assert int(found.group(1)) == 1
+
+
+def test_spike_repairs_that_gave_up_show_on_metrics():
+    # The rover worst case at 19 W: both restarts give up at the
+    # attempt budget, after replaying dead ends from the memo.
+    problem = MarsRover.standard().problem(SolarCase.WORST)
+    with LiveServer() as live:
+        live.client.solve(problem, p_max=19.0)
+        deadline = time.monotonic() + 5.0
+        while True:
+            metrics = live.client.metrics_text()
+            found = {name: re.search(rf"^repro_sched_maxp_{name} (\d+)",
+                                     metrics, flags=re.M)
+                     for name in ("budget_exhausted", "dead_end_replays")}
+            if all(found.values()):
+                break
+            assert time.monotonic() < deadline, metrics
+            time.sleep(0.05)
+    assert int(found["budget_exhausted"].group(1)) == 2
+    assert int(found["dead_end_replays"].group(1)) > 0
 
 
 def test_shared_repairs_show_on_metrics():
